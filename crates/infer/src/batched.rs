@@ -11,8 +11,8 @@
 //! Every batch is served in two stages that share no mutable state:
 //!
 //! * **prepare** (front end): fault draw, target validation, neighborhood
-//!   expansion ([`BatchSupport`]), the level-0 feature gather, and all store
-//!   probes, staged into owned buffers ([`PreparedBatch`]);
+//!   expansion ([`BatchSupport`]), the level-0 kept-channel tables, and all
+//!   store probes, staged into owned buffers ([`PreparedBatch`]);
 //! * **execute** (back end): relabel-table maintenance, SpMM + GEMM +
 //!   combine, store write-backs, and target-logit extraction.
 //!
@@ -26,9 +26,9 @@
 //! front stage also means a poisoned store row surfaces as a typed error
 //! *before* any GEMM or write-back runs (fail before side effects).
 
-use gcnp_models::{Branch, CombineMode, GnnModel, PackedModel, QuantPackedModel};
+use gcnp_models::{BranchLayer, CombineMode, GnnModel, PackedModel, QuantPackedModel};
 use gcnp_sparse::{BatchSupport, CsrMatrix};
-use gcnp_tensor::{parallel_row_chunks, qgemm_packed_into, Matrix, ScratchPool};
+use gcnp_tensor::{parallel_row_chunks, qgemm_packed_rows_into, Matrix, ScratchPool};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -206,8 +206,10 @@ pub struct BatchResult {
     pub seconds: f64,
     /// MACs actually executed.
     pub macs: u64,
-    /// Bytes of features touched (gathered inputs, intermediates, store
-    /// reads) plus weights — the paper's per-batch memory metric.
+    /// Bytes of features touched (the level tables the engine builds,
+    /// layer outputs, store reads) plus weights — the paper's per-batch
+    /// memory metric. A pruned branch's table counts only its kept
+    /// channels.
     pub mem_bytes: usize,
     /// Distinct nodes whose raw attributes were gathered.
     pub n_supporting: usize,
@@ -227,11 +229,14 @@ pub struct BatchedEngine<'a> {
     features: &'a Matrix,
     /// Per-hop fan-out caps (`[None, Some(32)]` = the paper's setting).
     pub caps: Vec<Option<usize>>,
+    /// Level-table layout of each layer's input, `plans[li]` for layer
+    /// `li + 1`.
+    plans: Vec<LevelPlan>,
     store: StoreView<'a>,
     pub policy: StorePolicy,
     seed: u64,
     batch_counter: u64,
-    /// Front-stage matrix free list: level-0 gathers and staged store reads
+    /// Front-stage matrix free list: level-0 tables and staged store reads
     /// are drawn from here; the back end returns them via its `spent` list
     /// (double-buffered circulation under the pipelined executor).
     front_pool: ScratchPool,
@@ -254,6 +259,49 @@ pub struct BatchedEngine<'a> {
     /// worker reads it through [`BatchedEngine::last_est_skew`], the
     /// pipelined back stage through its [`BackStage::skew`] borrow.
     last_skew: f64,
+}
+
+/// Channel layout of the level table one layer reads: one table per
+/// distinct `keep` list among the layer's branches, each holding only the
+/// channels those branches read (`None` = every channel). Branch kernels
+/// then sum and multiply contiguous rows, so a pruned channel costs no
+/// bandwidth after the once-per-row compaction that builds its table.
+struct LevelPlan {
+    /// Channel list of each table, in first-use order.
+    keeps: Vec<Option<Vec<usize>>>,
+    /// Table each branch reads, parallel to the layer's branches.
+    slot: Vec<usize>,
+    /// Whether an aggregating (`k ≥ 1`) branch reads the table. At level 0
+    /// a table no such branch reads holds only the layer-1 compute rows —
+    /// the row prefix of [`BatchSupport::input_nodes`].
+    all_rows: Vec<bool>,
+}
+
+impl LevelPlan {
+    fn new(layer: &BranchLayer) -> Self {
+        let mut keeps: Vec<Option<Vec<usize>>> = Vec::new();
+        let mut all_rows: Vec<bool> = Vec::new();
+        let slot = layer
+            .branches
+            .iter()
+            .map(|b| {
+                let t = keeps.iter().position(|k| *k == b.keep).unwrap_or_else(|| {
+                    keeps.push(b.keep.clone());
+                    all_rows.push(false);
+                    keeps.len() - 1
+                });
+                if b.k >= 1 {
+                    all_rows[t] = true; // audit: allow(no-fail-stop) — t indexes the table just found or pushed
+                }
+                t
+            })
+            .collect();
+        Self {
+            keeps,
+            slot,
+            all_rows,
+        }
+    }
 }
 
 /// Reusable back-stage scratch, owned by the engine and mutably borrowed
@@ -360,9 +408,10 @@ fn lap(clock: &mut Option<StageClock>, stage: Stage) {
 /// executor (see [`crate::pipeline`]).
 pub(crate) struct PreparedBatch {
     pub(crate) support: BatchSupport,
-    /// Level-0 raw attributes of the supporting nodes (a front-pool buffer;
-    /// the back end retires it through its `spent` list).
-    level0: Matrix,
+    /// Level-0 raw attributes of the supporting nodes, one table per entry
+    /// of the layer-1 [`LevelPlan`] (front-pool buffers; the back end
+    /// retires them through its `spent` list).
+    level0: Vec<Matrix>,
     /// Staged store reads per level: `staged[li - 1]` holds the rows of
     /// `support.layers[li - 1].stored` in order, `None` when that level has
     /// no stored rows.
@@ -376,7 +425,7 @@ pub(crate) struct PreparedBatch {
     /// is latched into `bypass_store`, and `Straggle` is applied by the
     /// back end at the end of execute.
     fault: Fault,
-    /// Feature bytes touched so far (weights + level-0 gather + store reads).
+    /// Feature bytes touched so far (weights + level-0 tables + store reads).
     mem_bytes: usize,
     store_hits: usize,
     /// Batch admission instant: [`BatchResult::seconds`] spans prepare, any
@@ -396,8 +445,11 @@ impl PreparedBatch {
     /// Return this batch's front-pool buffers to `pool` — the abandon path
     /// when a supervisor steal voids the attempt after prepare finished.
     pub(crate) fn recycle_into(self, pool: &mut ScratchPool) {
-        pool.recycle(self.level0);
-        for rows in self.staged.into_iter().flatten() {
+        for rows in self
+            .level0
+            .into_iter()
+            .chain(self.staged.into_iter().flatten())
+        {
             pool.recycle(rows);
         }
     }
@@ -412,6 +464,7 @@ pub(crate) struct EngineCore<'e, 'a> {
     adj: &'a CsrMatrix,
     features: &'a Matrix,
     caps: &'e [Option<usize>],
+    plans: &'e [LevelPlan],
     store: StoreView<'a>,
     policy: StorePolicy,
     seed: u64,
@@ -550,6 +603,7 @@ impl<'a> BatchedEngine<'a> {
             adj,
             features,
             caps,
+            plans: model.layers.iter().map(LevelPlan::new).collect(),
             store,
             policy,
             seed,
@@ -624,6 +678,7 @@ impl<'a> BatchedEngine<'a> {
             adj: self.adj,
             features: self.features,
             caps: &self.caps,
+            plans: &self.plans,
             store: self.store,
             policy: self.policy,
             seed: self.seed,
@@ -760,23 +815,39 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         let mut mem_bytes: usize = self.packed.weight_bytes(self.model);
         let mut store_hits = 0usize;
 
-        // Level 0: raw attributes of the input nodes, gathered into a pooled
-        // buffer instead of a fresh allocation per batch.
-        let mut level0 = front
-            .pool
-            .take_matrix(support.input_nodes.len(), self.features.cols());
-        for (i, &v) in support.input_nodes.iter().enumerate() {
-            level0.row_mut(i).copy_from_slice(self.features.row(v));
+        // Level 0: raw attributes of the input nodes, one pooled table per
+        // distinct keep list of layer 1, holding only the channels its
+        // branches read. A table only `k = 0` branches read holds just the
+        // layer-1 compute rows, which lead `input_nodes`.
+        let n_prefix = support.layers.first().map_or(0, |ls| ls.compute.len());
+        let plan = self.plans.first().ok_or(ServingError::InvariantViolation {
+            check: "engine.level0.plan",
+            detail: "model has no layers".to_string(),
+        })?;
+        let mut level0 = Vec::with_capacity(plan.keeps.len());
+        for (keep, &all_rows) in plan.keeps.iter().zip(&plan.all_rows) {
+            let n_rows = if all_rows {
+                support.input_nodes.len()
+            } else {
+                n_prefix
+            };
+            let keep = keep.as_deref();
+            let width = keep.map_or(self.features.cols(), <[usize]>::len);
+            let mut table = front.pool.take_matrix(n_rows, width);
+            for (i, &v) in support.input_nodes.iter().take(n_rows).enumerate() {
+                copy_channels(table.row_mut(i), self.features.row(v), keep);
+            }
+            // Trap NaN/Inf feature values at the engine boundary (before any
+            // kernel consumes them) so a poisoned row degrades into a typed,
+            // retryable error. No-op without `strict-invariants`.
+            gcnp_tensor::check::assert_finite(
+                "engine.features.finite",
+                "gathered level-0 feature rows",
+                table.as_slice(),
+            )?;
+            mem_bytes += table.nbytes();
+            level0.push(table);
         }
-        // Trap NaN/Inf feature rows at the engine boundary (before any
-        // kernel consumes them) so a poisoned row degrades into a typed,
-        // retryable error. No-op without `strict-invariants`.
-        gcnp_tensor::check::assert_finite(
-            "engine.features.finite",
-            "gathered level-0 feature rows",
-            level0.as_slice(),
-        )?;
-        mem_bytes += level0.nbytes();
         lap(&mut clock, Stage::Relabel);
 
         // Stage every store read. The level-li table is `out_dim()` wide,
@@ -839,7 +910,7 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     /// Back-end stage: relabel, aggregate, transform, write back, and
     /// extract the target logits for a prepared batch.
     ///
-    /// Buffers that originated in the front pool (the level-0 gather and
+    /// Buffers that originated in the front pool (the level-0 tables and
     /// staged store reads) are pushed onto `spent` instead of this stage's
     /// pool, so the caller can circulate them back to the front stage.
     pub(crate) fn execute(
@@ -892,10 +963,10 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         let relabel: &mut [u32] = relabel;
         let n_layers = self.model.layers.len();
         let mut macs: u64 = 0;
-        let mut level_mat = level0;
-        // The level-0 table came from the front pool; every later level
+        let mut tables = level0;
+        // The level-0 tables came from the front pool; every later level
         // table is drawn from (and retired to) this stage's own pool.
-        let mut level_from_front = true;
+        let mut tables_from_front = true;
         for v in touched.drain(..) {
             relabel[v] = ABSENT; // audit: allow(no-fail-stop) — touched only ever holds ids previously checked against the graph
         }
@@ -908,31 +979,41 @@ impl<'e, 'a> EngineCore<'e, 'a> {
         for li in 1..=n_layers {
             let ls = &support.layers[li - 1]; // audit: allow(no-fail-stop) — li ranges over 1..=n_layers and support has one entry per layer
             let layer = &self.model.layers[li - 1]; // audit: allow(no-fail-stop) — same loop bound
-                                                    // --- compute branch outputs for ls.compute --------------------
+            let plan = &self.plans[li - 1]; // audit: allow(no-fail-stop) — one plan per layer, built at construction
+
+            // --- compute branch outputs for ls.compute --------------------
             let mut parts: Vec<Matrix> = Vec::with_capacity(layer.branches.len());
             for (bi, branch) in layer.branches.iter().enumerate() {
-                let gathered = match branch.k {
-                    0 => gather_selected(&level_mat, relabel, &ls.compute, branch, pool),
-                    1 => aggregate_mean(&level_mat, relabel, ls, branch, pool),
+                // audit: allow(no-fail-stop) — the plan holds one slot per branch, each naming one of this level's tables
+                let table = &tables[plan.slot[bi]];
+                let operand = match branch.k {
+                    // The compute rows lead the level table (always at level
+                    // 0, see `BatchSupport::input_nodes`): read them in place.
+                    0 if is_row_prefix(relabel, &ls.compute) => {
+                        Operand::Prefix(table, ls.compute.len())
+                    }
+                    0 => Operand::Built(gather_selected(table, relabel, &ls.compute, pool)),
+                    1 => Operand::Built(aggregate_mean(table, relabel, ls, pool)),
                     // audit: allow(no-fail-stop) — k ∈ {0,1} is enforced by the constructor assert
                     _ => unreachable!("validated in constructor"),
                 };
+                let (src, rows) = operand.rows();
                 // Aggregation adds: one MAC-equivalent per edge per channel.
                 if branch.k == 1 {
                     macs += (ls.neigh_ids.len() * branch.in_dim()) as u64;
                 }
-                let branch_macs = gathered.rows() * branch.in_dim() * branch.out_dim();
+                let branch_macs = rows * branch.in_dim() * branch.out_dim();
                 macs += branch_macs as u64;
                 lap(&mut clock, Stage::Spmm);
                 // Pre-packed weights (no per-call operand pack) into a pooled
-                // output buffer; the gathered operand goes back to the pool.
-                let mut prod = pool.take_matrix(gathered.rows(), branch.out_dim());
+                // output buffer; a built operand goes back to the pool.
+                let mut prod = pool.take_matrix(rows, branch.out_dim());
                 match self.packed {
                     WeightPacks::Int8(qm) => {
                         // Quantized tier: the blocked int8 kernel over the
                         // mask-folded per-column-quantized pack.
                         // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
-                        qgemm_packed_into(&gathered, &qm.branch_packs(li - 1)[bi], &mut prod);
+                        qgemm_packed_rows_into(src, rows, &qm.branch_packs(li - 1)[bi], &mut prod);
                         if let Some(m) = self.metrics {
                             m.dispatch_int8.inc();
                         }
@@ -945,23 +1026,26 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                         // sample, so the decision is deterministic and
                         // independent of thread count.
                         if branch_macs >= SPARSE_DISPATCH_MIN_MACS
-                            && gathered.zero_fraction_sampled(DENSITY_PROBE_SAMPLES)
+                            && src.zero_fraction_sampled_rows(rows, DENSITY_PROBE_SAMPLES)
                                 >= SPARSE_DISPATCH_ZERO_FRAC
                         {
-                            CsrMatrix::from_dense(&gathered).spmm_into(&branch.weight, &mut prod);
+                            CsrMatrix::from_dense_rows(src, rows)
+                                .spmm_into(&branch.weight, &mut prod);
                             if let Some(m) = self.metrics {
                                 m.dispatch_sparse.inc();
                             }
                         } else {
-                            // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
-                            gathered.matmul_packed_into(&pm.branch_packs(li - 1)[bi], &mut prod);
+                            let pack = &pm.branch_packs(li - 1)[bi]; // audit: allow(no-fail-stop) — packs are built 1:1 with model branches at construction
+                            src.matmul_packed_rows_into(rows, pack, &mut prod);
                             if let Some(m) = self.metrics {
                                 m.dispatch_dense.inc();
                             }
                         }
                     }
                 }
-                pool.recycle(gathered);
+                if let Operand::Built(m) = operand {
+                    pool.recycle(m);
+                }
                 parts.push(prod);
                 lap(&mut clock, Stage::Gemm);
             }
@@ -1061,13 +1145,21 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 }
                 lap(&mut clock, Stage::WriteBack);
             }
-            let prev = std::mem::replace(&mut level_mat, mat);
-            if level_from_front {
-                spent.push(prev);
-                level_from_front = false;
+            // --- lay out the next layer's input level -------------------
+            let next = match self.plans.get(li) {
+                Some(plan) => level_tables(mat, plan, pool, &mut mem_bytes),
+                None => vec![mat], // the output level: logits read it whole
+            };
+            let prev = std::mem::replace(&mut tables, next);
+            if tables_from_front {
+                spent.extend(prev);
+                tables_from_front = false;
             } else {
-                pool.recycle(prev);
+                for t in prev {
+                    pool.recycle(t);
+                }
             }
+            lap(&mut clock, Stage::Relabel);
         }
         store.tick();
 
@@ -1081,12 +1173,12 @@ impl<'e, 'a> EngineCore<'e, 'a> {
                 r as usize
             })
             .collect();
-        let logits = level_mat.gather_rows(&rows);
-        if level_from_front {
-            spent.push(level_mat);
-        } else {
-            pool.recycle(level_mat);
-        }
+        let output = tables.pop().ok_or(ServingError::InvariantViolation {
+            check: "engine.output.level",
+            detail: "no output-level table".to_string(),
+        })?;
+        let logits = output.gather_rows(&rows);
+        pool.recycle(output);
         lap(&mut clock, Stage::Relabel); // tick + target extraction
         if let (Some(c), Some(m)) = (clock.as_ref(), self.metrics) {
             c.record(m);
@@ -1125,49 +1217,114 @@ impl<'e, 'a> EngineCore<'e, 'a> {
     }
 }
 
-/// Gather rows for `nodes`, selecting the branch's kept channels. `relabel`
-/// is the dense node-id → row table for the current level.
-// audit: allow(no-fail-stop) — relabel slots and kept-channel indices are built by BatchSupport and the pruner from in-graph ids; a miss is a programmer error caught by the debug_asserts
+/// A branch's GEMM operand.
+enum Operand<'t> {
+    /// Built for this branch from the back-stage pool.
+    Built(Matrix),
+    /// The first `rows` rows of a level table, read in place.
+    Prefix(&'t Matrix, usize),
+}
+
+impl Operand<'_> {
+    /// The matrix the GEMM reads and how many of its leading rows.
+    fn rows(&self) -> (&Matrix, usize) {
+        match self {
+            Operand::Built(m) => (m, m.rows()),
+            Operand::Prefix(m, rows) => (m, *rows),
+        }
+    }
+}
+
+/// True when `nodes` sit at rows `0..nodes.len()` of the level table, in
+/// order — so a `k = 0` branch can read them in place.
+// audit: allow(no-fail-stop) — nodes come from BatchSupport over this graph, so every id indexes the relabel table
+fn is_row_prefix(relabel: &[u32], nodes: &[usize]) -> bool {
+    nodes
+        .iter()
+        .enumerate()
+        .all(|(i, &v)| relabel[v] as usize == i)
+}
+
+/// Copy the `keep` channels of `src` (all of them for `None`) into `dst` —
+/// the once-per-row compaction behind every kept-channel table.
+// audit: allow(no-fail-stop) — kept-channel indices come from the pruner and index the source row
+fn copy_channels(dst: &mut [f32], src: &[f32], keep: Option<&[usize]>) {
+    match keep {
+        Some(keep) => {
+            for (d, &c) in dst.iter_mut().zip(keep) {
+                *d = src[c];
+            }
+        }
+        None => dst.copy_from_slice(src),
+    }
+}
+
+/// Lay out a full-width level table as the next layer's input: one table
+/// per entry of `plan`, each with every row of `full`. The full-width entry
+/// (if any) is `full` itself; kept-channel entries are compacted copies,
+/// counted in `mem_bytes`.
+fn level_tables(
+    full: Matrix,
+    plan: &LevelPlan,
+    pool: &mut ScratchPool,
+    mem_bytes: &mut usize,
+) -> Vec<Matrix> {
+    let mut tables: Vec<Matrix> = plan
+        .keeps
+        .iter()
+        .map(|keep| match keep {
+            Some(keep) => {
+                let mut t = pool.take_matrix(full.rows(), keep.len());
+                for r in 0..full.rows() {
+                    copy_channels(t.row_mut(r), full.row(r), Some(keep));
+                }
+                *mem_bytes += t.nbytes();
+                t
+            }
+            None => Matrix::zeros(0, 0), // placeholder, replaced by `full` below
+        })
+        .collect();
+    match plan.keeps.iter().position(Option::is_none) {
+        Some(t) => tables[t] = full, // audit: allow(no-fail-stop) — position() returned an index of `keeps`, which `tables` mirrors
+        None => pool.recycle(full),
+    }
+    tables
+}
+
+/// Gather the level-table rows of `nodes`. `relabel` is the dense node-id →
+/// row table for the current level.
+// audit: allow(no-fail-stop) — relabel slots are built by BatchSupport from in-graph ids; a miss is a programmer error caught by the debug_assert
 fn gather_selected(
-    mat: &Matrix,
+    table: &Matrix,
     relabel: &[u32],
     nodes: &[usize],
-    branch: &Branch,
     pool: &mut ScratchPool,
 ) -> Matrix {
-    let width = branch.in_dim();
-    let mut out = pool.take_matrix(nodes.len(), width);
+    let mut out = pool.take_matrix(nodes.len(), table.cols());
     for (i, &v) in nodes.iter().enumerate() {
         debug_assert_ne!(relabel[v], ABSENT, "node {v} missing from level table");
-        let src = mat.row(relabel[v] as usize);
-        let dst = out.row_mut(i);
-        match &branch.keep {
-            Some(keep) => {
-                for (d, &c) in dst.iter_mut().zip(keep) {
-                    *d = src[c];
-                }
-            }
-            None => dst.copy_from_slice(src),
-        }
+        out.row_mut(i)
+            .copy_from_slice(table.row(relabel[v] as usize));
     }
     out
 }
 
-/// Mean-aggregate the (capped) neighbor rows for each computed node,
-/// selecting the branch's kept channels. Nodes without neighbors get zeros
-/// (matching row-normalized SpMM on isolated nodes). Parallel across
+/// Mean-aggregate the (capped) neighbor rows of each computed node over a
+/// level table that already holds exactly the branch's channels, so each
+/// neighbor costs one contiguous row sum. Nodes without neighbors get
+/// zeros (matching row-normalized SpMM on isolated nodes). Parallel across
 /// computed nodes; each output row accumulates its neighbors in support
 /// order regardless of thread count, so results are bitwise identical
-/// across `GCNP_THREADS` settings.
-// audit: allow(no-fail-stop) — relabel slots and kept-channel indices are built by BatchSupport and the pruner from in-graph ids; a miss is a programmer error caught by the debug_asserts
+/// across `GCNP_THREADS` settings — and, since the mean is independent per
+/// column, bitwise equal to the same channels of a full-width aggregation.
+// audit: allow(no-fail-stop) — relabel slots are built by BatchSupport from in-graph ids; a miss is a programmer error caught by the debug_assert
 fn aggregate_mean(
-    mat: &Matrix,
+    table: &Matrix,
     relabel: &[u32],
     ls: &gcnp_sparse::LayerSupport,
-    branch: &Branch,
     pool: &mut ScratchPool,
 ) -> Matrix {
-    let width = branch.in_dim();
+    let width = table.cols();
     let n = ls.compute.len();
     let mut out = pool.take_matrix(n, width);
     parallel_row_chunks(out.as_mut_slice(), n, width, |start, chunk| {
@@ -1178,18 +1335,8 @@ fn aggregate_mean(
             }
             for &u in nbrs {
                 debug_assert_ne!(relabel[u], ABSENT, "neighbor {u} missing from level table");
-                let src = mat.row(relabel[u] as usize);
-                match &branch.keep {
-                    Some(keep) => {
-                        for (d, &c) in dst.iter_mut().zip(keep) {
-                            *d += src[c];
-                        }
-                    }
-                    None => {
-                        for (d, &s) in dst.iter_mut().zip(src) {
-                            *d += s;
-                        }
-                    }
+                for (d, &s) in dst.iter_mut().zip(table.row(relabel[u] as usize)) {
+                    *d += s;
                 }
             }
             let inv = 1.0 / nbrs.len() as f32;
@@ -1364,6 +1511,124 @@ mod tests {
         let res = engine.infer(&[3, 4]);
         assert_eq!(res.logits.shape(), (2, 4));
         assert!(res.logits.as_slice().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn level0_share_of_mem_bytes_shrinks_with_kept_channels() {
+        // Pruning the layer-1 aggregation branch to `keep` leaves layer-1's
+        // k = 0 branch and every later layer untouched, so the two runs
+        // differ in their weights and their level-0 tables only. The ref
+        // reads one full-width table over every input node; the pruned
+        // model reads a keep-wide table over every input node plus the
+        // full-width rows of the layer-1 compute prefix.
+        let (adj, x, model) = setup();
+        let mut pruned = model.clone();
+        let keep = vec![0usize, 2, 5];
+        let b = &mut pruned.layers[0].branches[1];
+        assert_eq!(b.k, 1);
+        b.weight = b.weight.select_rows(&keep);
+        b.keep = Some(keep.clone());
+        let targets = [4usize, 17];
+        let graph_flags: Vec<bool> = model.layers.iter().map(|l| l.uses_graph()).collect();
+        let support = BatchSupport::build(&adj, &targets, &graph_flags, &[], 0, |_, _| false);
+        let (n_input, n_prefix) = (support.input_nodes.len(), support.layers[0].compute.len());
+        assert!(
+            n_prefix < n_input,
+            "the batch must reach past its compute set"
+        );
+
+        let level0_share = |m: &GnnModel| {
+            let res =
+                BatchedEngine::new(m, &adj, &x, vec![], None, StorePolicy::None, 0).infer(&targets);
+            let outputs: usize = support
+                .layers
+                .iter()
+                .zip(&m.layers)
+                .map(|(ls, l)| ls.compute.len() * l.out_dim() * 4)
+                .sum();
+            res.mem_bytes - m.n_weights() * 4 - outputs
+        };
+        let d = x.cols();
+        assert_eq!(level0_share(&model), n_input * d * 4);
+        assert_eq!(
+            level0_share(&pruned),
+            n_input * keep.len() * 4 + n_prefix * d * 4
+        );
+    }
+
+    fn shuffle<T>(v: &mut [T], rng: &mut rand::rngs::StdRng) {
+        use rand::RngExt;
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.random_range(0..=i));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Kept-channel aggregation over a compacted table is bitwise equal
+        /// to selecting the kept channels of the full-width aggregation, for
+        /// one channel, all channels and non-contiguous channel sets, at 1
+        /// and 4 kernel threads.
+        #[test]
+        fn kept_channel_aggregation_matches_selected_full_aggregation(
+            (n, d) in (1usize..48, 1usize..24),
+            mode in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            use rand::RngExt;
+            let mut rng = seeded_rng(seed);
+            let table = Matrix::rand_uniform(n, d, -1.0, 1.0, &mut rng);
+            // Node v sits at row relabel[v] of the level table.
+            let mut rows: Vec<u32> = (0..n as u32).collect();
+            shuffle(&mut rows, &mut rng);
+            let relabel = rows;
+            let compute: Vec<usize> = (0..n).filter(|_| rng.random_range(0..3) > 0).collect();
+            let mut neigh_indptr = vec![0];
+            let mut neigh_ids = Vec::new();
+            for _ in &compute {
+                for _ in 0..rng.random_range(0..6) {
+                    neigh_ids.push(rng.random_range(0..n));
+                }
+                neigh_indptr.push(neigh_ids.len());
+            }
+            let ls = gcnp_sparse::LayerSupport {
+                layer: 1,
+                compute,
+                neigh_indptr,
+                neigh_ids,
+                stored: Vec::new(),
+            };
+            let keep: Vec<usize> = match mode {
+                0 => vec![rng.random_range(0..d)],
+                1 => (0..d).collect(),
+                _ => {
+                    let mut k: Vec<usize> = (0..d).filter(|_| rng.random_range(0..2) == 0).collect();
+                    if k.is_empty() {
+                        k.push(d - 1);
+                    }
+                    shuffle(&mut k, &mut rng);
+                    k
+                }
+            };
+            let plan = LevelPlan {
+                keeps: vec![Some(keep.clone())],
+                slot: vec![0],
+                all_rows: vec![true],
+            };
+            for threads in [1, 4] {
+                gcnp_tensor::set_num_threads(threads);
+                let mut pool = ScratchPool::new();
+                let full = aggregate_mean(&table, &relabel, &ls, &mut pool).select_cols(&keep);
+                let mut mem = 0;
+                let kept_table = level_tables(table.clone(), &plan, &mut pool, &mut mem);
+                proptest::prop_assert_eq!(mem, n * keep.len() * 4);
+                let kept = aggregate_mean(&kept_table[0], &relabel, &ls, &mut pool);
+                let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&kept), bits(&full), "threads {}", threads);
+            }
+            gcnp_tensor::set_num_threads(0);
+        }
     }
 
     #[test]

@@ -114,13 +114,17 @@ impl QuantizedGnn {
     /// `qmatmul` reference — same quantization grid, exact integer
     /// accumulation, shared dequant).
     pub fn forward_full(&self, adj: Option<&CsrMatrix>, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
+        // Every layer borrows its input: `x` for the first, the previous
+        // layer's output after that.
+        let mut h: Option<Matrix> = None;
         for layer in &self.layers {
+            let input = h.as_ref().unwrap_or(x);
             let max_k = layer.branches.iter().map(|b| b.k).max().unwrap_or(0);
             assert!(max_k == 0 || adj.is_some(), "graph layer needs adjacency");
-            let mut powers: Vec<Matrix> = vec![h.clone()];
+            // `powers[k - 1]` = Âᵏ · input for k ≥ 1.
+            let mut powers: Vec<Matrix> = Vec::with_capacity(max_k);
             for _ in 0..max_k {
-                let next = adj.unwrap().spmm(powers.last().unwrap());
+                let next = adj.unwrap().spmm(powers.last().unwrap_or(input));
                 powers.push(next);
             }
             let parts: Vec<Matrix> = layer
@@ -128,13 +132,14 @@ impl QuantizedGnn {
                 .iter()
                 .map(|b| {
                     let pb = QuantPackedB::from_quant(&b.weight);
-                    let z = &powers[b.k];
-                    let zin = match &b.keep {
-                        Some(keep) => z.select_cols(keep),
-                        None => z.clone(),
+                    let z = match b.k {
+                        0 => input,
+                        k => &powers[k - 1],
                     };
+                    let selected = b.keep.as_ref().map(|keep| z.select_cols(keep));
+                    let zin = selected.as_ref().unwrap_or(z);
                     let mut out = Matrix::zeros(zin.rows(), pb.n());
-                    qgemm_packed_into(&zin, &pb, &mut out);
+                    qgemm_packed_into(zin, &pb, &mut out);
                     out
                 })
                 .collect();
@@ -152,12 +157,12 @@ impl QuantizedGnn {
             if let Some(b) = &layer.bias {
                 out = out.add_row_vector(b.row(0));
             }
-            h = match layer.activation {
+            h = Some(match layer.activation {
                 Activation::Relu => out.relu(),
                 Activation::None => out,
-            };
+            });
         }
-        h
+        h.unwrap_or_else(|| x.clone())
     }
 }
 

@@ -97,15 +97,16 @@ impl<'m> PackedModel<'m> {
         let mut outputs: Vec<Matrix> = Vec::with_capacity(self.model.layers.len());
         let n = self.model.layers.len();
         for (i, (layer, packs)) in self.model.layers.iter().zip(&self.packs).enumerate() {
-            let input = if i == 0 {
-                x.clone()
+            // Layers borrow their input; only the JK concat builds a new one.
+            let out = if i == 0 {
+                layer_forward_packed(layer, packs, adj, x)
             } else if self.model.jk && i == n - 1 {
                 let refs: Vec<&Matrix> = outputs.iter().collect();
-                Matrix::concat_cols_all(&refs)
+                layer_forward_packed(layer, packs, adj, &Matrix::concat_cols_all(&refs))
             } else {
-                outputs[i - 1].clone()
+                layer_forward_packed(layer, packs, adj, &outputs[i - 1])
             };
-            outputs.push(layer_forward_packed(layer, packs, adj, &input));
+            outputs.push(out);
         }
         outputs
     }
@@ -165,10 +166,11 @@ fn layer_forward_packed(
         max_k == 0 || adj.is_some(),
         "layer_forward_packed: graph layer needs adjacency"
     );
-    let mut powers: Vec<Matrix> = Vec::with_capacity(max_k + 1);
-    powers.push(input.clone());
+    // `powers[k - 1]` = Âᵏ · input for k ≥ 1; the zeroth power is the
+    // borrowed input itself.
+    let mut powers: Vec<Matrix> = Vec::with_capacity(max_k);
     for _ in 0..max_k {
-        let next = adj.unwrap().spmm(powers.last().unwrap());
+        let next = adj.unwrap().spmm(powers.last().unwrap_or(input));
         powers.push(next);
     }
     let parts: Vec<Matrix> = layer
@@ -176,7 +178,10 @@ fn layer_forward_packed(
         .iter()
         .zip(packs)
         .map(|(b, pb)| {
-            let z = &powers[b.k];
+            let z = match b.k {
+                0 => input,
+                k => &powers[k - 1],
+            };
             match &b.keep {
                 Some(keep) => z.select_cols(keep).matmul_packed(pb),
                 None => z.matmul_packed(pb),

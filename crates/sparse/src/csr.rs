@@ -147,7 +147,21 @@ impl CsrMatrix {
     ///
     /// Shapes: `m` is `(r, c)` dense; the result is `(r, c)` sparse with `nnz` = count of non-zeros.
     pub fn from_dense(m: &Matrix) -> Self {
-        let (n_rows, n_cols) = m.shape();
+        Self::from_dense_rows(m, m.rows())
+    }
+
+    /// [`CsrMatrix::from_dense`] over the first `n_rows` rows of `m` only,
+    /// read in place.
+    ///
+    /// Shapes: `m` is `(r, c)` dense with `n_rows <= r`; the result is
+    /// `(n_rows, c)` sparse.
+    pub fn from_dense_rows(m: &Matrix, n_rows: usize) -> Self {
+        assert!(
+            n_rows <= m.rows(),
+            "from_dense_rows: {n_rows} of {} rows",
+            m.rows()
+        );
+        let n_cols = m.cols();
         let mut indptr = Vec::with_capacity(n_rows + 1);
         indptr.push(0);
         let mut indices = Vec::new();
@@ -688,5 +702,11 @@ mod tests {
         let mut dirty = Matrix::filled(5, 2, 99.0);
         s.spmm_into(&rhs, &mut dirty);
         assert_eq!(dirty.as_slice(), d.matmul(&rhs).as_slice());
+        // A row prefix compresses exactly like a copy of those rows.
+        let head = CsrMatrix::from_dense_rows(&d, 4);
+        let copy = CsrMatrix::from_dense(&d.row_block(0, 4));
+        assert_eq!(head.n_rows(), 4);
+        assert_eq!(head.nnz(), 3);
+        assert_eq!(head.spmm(&rhs).as_slice(), copy.spmm(&rhs).as_slice());
     }
 }

@@ -44,6 +44,12 @@ pub struct BatchSupport {
     /// Per-layer supports, `layers[0]` = layer 1 (closest to the input).
     pub layers: Vec<LayerSupport>,
     /// Nodes whose raw attributes must be gathered (layer-0 inputs).
+    ///
+    /// Invariant: layer 1's compute set leads this list, in order —
+    /// `input_nodes[..layers[0].compute.len()] == layers[0].compute`. The
+    /// batched engine relies on it to hand layer 1's `k = 0` branches the
+    /// row prefix of its level-0 tables in place, and to gather only that
+    /// prefix for a table no aggregating branch reads.
     pub input_nodes: Vec<usize>,
 }
 
@@ -286,6 +292,49 @@ mod tests {
         let s = BatchSupport::build(&adj, &[2, 2, 1, 2], &[true], &[], 0, |_, _| false);
         assert_eq!(s.targets, vec![2, 1]);
         assert_eq!(s.layers[0].compute.len(), 2);
+    }
+
+    #[test]
+    fn layer1_compute_set_is_the_input_prefix() {
+        // Star 0..=9 around node 0 plus the path 10-11-12-13 hanging off 9:
+        // degrees vary, so a cap of 2 bites at some nodes and not others.
+        let mut e = Vec::new();
+        for i in 1u32..10 {
+            e.push((0, i));
+            e.push((i, 0));
+        }
+        for i in 9u32..13 {
+            e.push((i, i + 1));
+            e.push((i + 1, i));
+        }
+        let adj = CsrMatrix::adjacency(14, &e);
+        let check = |s: &BatchSupport, what: &str| {
+            let compute = &s.layers[0].compute;
+            assert_eq!(&s.input_nodes[..compute.len()], &compute[..], "{what}");
+        };
+        for targets in [&[0usize][..], &[11, 3, 0, 11], &[13, 12, 9]] {
+            let uncapped = BatchSupport::build(&adj, targets, &[true, true], &[], 5, |_, _| false);
+            check(&uncapped, "uncapped");
+            let capped = BatchSupport::build(
+                &adj,
+                targets,
+                &[true, true],
+                &[Some(2), Some(2)],
+                5,
+                |_, _| false,
+            );
+            check(&capped, "capped");
+            // Store hits at level 1 drop nodes from the layer-1 compute set.
+            let stored = BatchSupport::build(&adj, targets, &[true, true], &[], 5, |lvl, v| {
+                lvl == 1 && v % 3 == 0
+            });
+            assert!(!stored.layers[0].stored.is_empty(), "store hits recorded");
+            check(&stored, "store hits");
+            // A dense layer 1 reads only its own rows: the prefix is all.
+            let dense = BatchSupport::build(&adj, targets, &[false, true], &[], 5, |_, _| false);
+            check(&dense, "dense layer 1");
+            assert_eq!(dense.input_nodes, dense.layers[0].compute);
+        }
     }
 
     #[test]

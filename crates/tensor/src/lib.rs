@@ -40,5 +40,7 @@ pub use matrix::Matrix;
 pub use parallel::{
     num_threads, parallel_row_chunks, parallel_row_chunks_aligned, set_num_threads,
 };
-pub use quant::{activation_scale, qgemm_packed_into, qmatmul, QuantMatrix, QuantPackedB};
+pub use quant::{
+    activation_scale, qgemm_packed_into, qgemm_packed_rows_into, qmatmul, QuantMatrix, QuantPackedB,
+};
 pub use scratch::ScratchPool;

@@ -111,21 +111,40 @@ impl Matrix {
     /// Shapes: `self` is `(m, k)` with `k == pack.k()`; `out` must be
     /// `(m, pack.n())`.
     pub fn matmul_packed_into(&self, pack: &crate::PackedB, out: &mut Matrix) {
+        self.matmul_packed_rows_into(self.rows(), pack, out);
+    }
+
+    /// [`Matrix::matmul_packed_into`] over the first `rows` rows of `self`
+    /// only, read in place: a row prefix of a larger table is a GEMM operand
+    /// without being copied out first.
+    ///
+    /// # Panics
+    /// Panics if `rows > self.rows()`, or on inner-dimension or
+    /// output-shape mismatch.
+    ///
+    /// Shapes: `self` is `(r, k)` with `rows <= r` and `k == pack.k()`; `out`
+    /// must be `(rows, pack.n())`.
+    pub fn matmul_packed_rows_into(&self, rows: usize, pack: &crate::PackedB, out: &mut Matrix) {
+        assert!(
+            rows <= self.rows(),
+            "matmul_packed: {rows}-row prefix of a {}-row matrix",
+            self.rows()
+        );
         assert_eq!(
             self.cols(),
             pack.k(),
             "matmul_packed: {}x{} · packed {}x{}",
-            self.rows(),
+            rows,
             self.cols(),
             pack.k(),
             pack.n()
         );
         assert_eq!(
             out.shape(),
-            (self.rows(), pack.n()),
+            (rows, pack.n()),
             "matmul_packed: output shape mismatch"
         );
-        gemm::gemm_packed_into(View::normal(self), pack, self.rows(), out.as_mut_slice());
+        gemm::gemm_packed_into(View::normal(self), pack, rows, out.as_mut_slice());
         crate::check::guard_finite(
             "tensor.matmul_packed.finite",
             "matmul_packed output",
@@ -193,7 +212,16 @@ impl Matrix {
     ///
     /// Shapes: `self` is any matrix; the result is a scalar in `[0, 1]`.
     pub fn zero_fraction_sampled(&self, max_samples: usize) -> f32 {
-        let data = self.as_slice();
+        self.zero_fraction_sampled_rows(self.rows(), max_samples)
+    }
+
+    /// [`Matrix::zero_fraction_sampled`] over the first `rows` rows only:
+    /// the same estimate a copy of that row prefix would report.
+    ///
+    /// Shapes: `self` is `(r, c)` with `rows <= r`; the result is a scalar
+    /// in `[0, 1]`.
+    pub fn zero_fraction_sampled_rows(&self, rows: usize, max_samples: usize) -> f32 {
+        let data = &self.as_slice()[..rows * self.cols()];
         if data.is_empty() || max_samples == 0 {
             return 0.0;
         }
@@ -649,6 +677,15 @@ mod tests {
         let mut into = Matrix::zeros(17, 14);
         a.matmul_packed_into(&pack, &mut into);
         assert_eq!(into.as_slice(), packed.as_slice());
+        // A row prefix read in place equals the product of a copy of it.
+        let head = a.row_block(0, 6);
+        let mut prefix = Matrix::zeros(6, 14);
+        a.matmul_packed_rows_into(6, &pack, &mut prefix);
+        assert_eq!(prefix.as_slice(), head.matmul_packed(&pack).as_slice());
+        assert_eq!(
+            a.zero_fraction_sampled_rows(6, 16),
+            head.zero_fraction_sampled(16)
+        );
     }
 
     #[test]

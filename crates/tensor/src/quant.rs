@@ -199,11 +199,16 @@ impl QuantMatrix {
 ///
 /// Shapes: `x` is any matrix; the scale is per-tensor (scalar).
 pub fn activation_scale(x: &Matrix) -> f32 {
+    slice_scale(x.as_slice())
+}
+
+/// [`activation_scale`] over a raw element slice.
+fn slice_scale(data: &[f32]) -> f32 {
     // Eight independent accumulators let the max-reduction vectorize;
     // `f32::max` is associative (and no lane is NaN past the finite guard),
     // so the result is identical to a sequential fold.
     let mut lanes = [0.0f32; 8];
-    let (chunks, tail) = x.as_slice().split_at(x.as_slice().len() / 8 * 8);
+    let (chunks, tail) = data.split_at(data.len() / 8 * 8);
     for ch in chunks.chunks_exact(8) {
         for (m, v) in lanes.iter_mut().zip(ch) {
             *m = m.max(v.abs());
@@ -626,14 +631,26 @@ fn qgemm_rows(
 ///
 /// Shapes: `x` is `(m, k)`, the pack `(k, n)`; `out` must be `(m, n)`.
 pub fn qgemm_packed_into(x: &Matrix, pb: &QuantPackedB, out: &mut Matrix) {
-    assert_eq!(x.cols(), pb.k, "qgemm: inner dimension mismatch");
-    assert_eq!(
-        out.shape(),
-        (x.rows(), pb.n),
-        "qgemm: output shape mismatch"
+    qgemm_packed_rows_into(x, x.rows(), pb, out);
+}
+
+/// [`qgemm_packed_into`] over the first `rows` rows of `x` only, read in
+/// place. The activation scale is taken over those rows, so the result is
+/// bitwise equal to running [`qgemm_packed_into`] on a copy of the prefix.
+///
+/// Shapes: `x` is `(r, k)` with `rows <= r`, the pack `(k, n)`; `out` must
+/// be `(rows, n)`.
+pub fn qgemm_packed_rows_into(x: &Matrix, rows: usize, pb: &QuantPackedB, out: &mut Matrix) {
+    assert!(
+        rows <= x.rows(),
+        "qgemm: {rows}-row prefix of a {}-row operand",
+        x.rows()
     );
-    guard_finite("quant.activations.finite", "activations", x.as_slice());
-    let (m, n) = (x.rows(), pb.n);
+    assert_eq!(x.cols(), pb.k, "qgemm: inner dimension mismatch");
+    assert_eq!(out.shape(), (rows, pb.n), "qgemm: output shape mismatch");
+    let xs = &x.as_slice()[..rows * pb.k];
+    guard_finite("quant.activations.finite", "activations", xs);
+    let (m, n) = (rows, pb.n);
     if m == 0 || n == 0 {
         return;
     }
@@ -641,16 +658,16 @@ pub fn qgemm_packed_into(x: &Matrix, pb: &QuantPackedB, out: &mut Matrix) {
         out.as_mut_slice().fill(0.0);
         return;
     }
-    let sx = activation_scale(x);
+    let sx = slice_scale(xs);
     let simd = quant_simd();
     QX_BUF.with(|xcell| {
         let mut xq = xcell.borrow_mut();
         xq.clear();
-        xq.resize(x.as_slice().len(), 0i16);
+        xq.resize(xs.len(), 0i16);
         // One contiguous quantization pass over the whole operand — this is
         // the only floating-point work per element; the per-block packs
         // downstream are integer reorders.
-        quantize_slice_i16(x.as_slice(), sx, &mut xq);
+        quantize_slice_i16(xs, sx, &mut xq);
         let xq: &[i16] = &xq;
         parallel_row_chunks_aligned(out.as_mut_slice(), m, n, MR, |start, chunk| {
             let rows = chunk.len() / n;
@@ -756,6 +773,18 @@ mod tests {
             let mut blocked = Matrix::zeros(m, n);
             qgemm_packed_into(&x, &QuantPackedB::pack(&w), &mut blocked);
             assert_eq!(naive.as_slice(), blocked.as_slice(), "m={m} k={k} n={n}");
+            // A row prefix read in place quantizes and multiplies exactly
+            // like a copy of it (the activation scale covers the prefix).
+            let rows = m / 2;
+            let mut prefix = Matrix::zeros(rows, n);
+            qgemm_packed_rows_into(&x, rows, &QuantPackedB::pack(&w), &mut prefix);
+            let mut copy = Matrix::zeros(rows, n);
+            qgemm_packed_into(&x.row_block(0, rows), &QuantPackedB::pack(&w), &mut copy);
+            assert_eq!(
+                prefix.as_slice(),
+                copy.as_slice(),
+                "prefix m={m} k={k} n={n}"
+            );
         }
     }
 
